@@ -400,6 +400,9 @@ servePerfPacks()
     return packs;
 }
 
+/** Where runServeScenario() publishes its answer fold. */
+inline volatile std::uint64_t servePublished = 0;
+
 /**
  * Issue @p s.serveQueries single-threaded plan queries against a
  * fresh index; the same seeded stream as tools/loadgen's mixes.  The
@@ -457,8 +460,7 @@ runServeScenario(const PerfScenario &s)
         }
     }
     // Publish the fold so the optimizer must keep the plan calls.
-    static volatile std::uint64_t published;
-    published = sink;
+    servePublished = sink;
 
     PerfRunCounts counts;
     counts.points = s.serveQueries;

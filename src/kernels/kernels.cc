@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "mem/access.hh"
-#include "mem/simmode.hh"
 #include "sim/logging.hh"
 #include "sim/units.hh"
 
@@ -47,112 +46,66 @@ effectiveWorkingSet(const mem::MemoryHierarchy &mem,
     return p.wsBytes;
 }
 
+void
+primeSweep(mem::MemoryHierarchy &mem, const KernelParams &p,
+           const mem::StridedSweep &sweep)
+{
+    if (!p.prime ||
+        effectiveWorkingSet(mem, p) > 2 * totalCacheBytes(mem.config()))
+        return;
+    mem::forEachBlock(sweep, [&mem](const Addr *a, std::size_t n) {
+        mem.primeBatch(a, n);
+    });
+}
+
+void
+copySweeps(mem::MemoryHierarchy &mem, const mem::StridedSweep &loads,
+           const mem::StridedSweep &stores)
+{
+    // A copy pairs one load with one store per element, so each batch
+    // holds half a batch of each.
+    constexpr std::size_t kPairWords = mem::AccessBatch::kCapacity / 2;
+    mem::StridedSweep::Cursor sc(stores);
+    mem::forEachBlock(
+        loads,
+        [&mem, &sc](const Addr *lbuf, std::size_t n) {
+            Addr sbuf[kPairWords];
+            const std::size_t m = sc.fill(sbuf, n);
+            GASNUB_ASSERT(m == n, "copy sweeps out of step");
+            mem::AccessBatch ab;
+            for (std::size_t k = 0; k < n; ++k) {
+                ab.push(lbuf[k], mem::AccessType::Read);
+                ab.push(sbuf[k], mem::AccessType::Write);
+            }
+            mem.processBatch(ab);
+        },
+        kPairWords);
+}
+
 namespace {
 
-/** Warm the caches with the sweep via batched reads. */
-void
-primeBatched(mem::MemoryHierarchy &mem, const mem::StridedSweep &sweep)
-{
-    mem::StridedSweep::Cursor cur(sweep);
-    Addr buf[mem::AccessBatch::kCapacity];
-    while (const std::size_t n =
-               cur.fill(buf, mem::AccessBatch::kCapacity))
-        mem.readBatch(buf, n);
-}
-
 /**
- * Warm the caches with the sweep via the functional tag walk — the
- * default priming pass.  Leaves exactly the state a timed prime +
- * resetTiming() would (see MemoryHierarchy::primeBatch) at a fraction
- * of the cost; the timed variants above survive behind
- * KernelParams::timedPrime as the equivalence oracle.
+ * Shared driver: reset, prime, then time @p measure over the strided
+ * sweep of @p p up to the final drain.
  */
-void
-primeFunctional(mem::MemoryHierarchy &mem,
-                const mem::StridedSweep &sweep)
-{
-    mem::StridedSweep::Cursor cur(sweep);
-    Addr buf[mem::AccessBatch::kCapacity];
-    while (const std::size_t n =
-               cur.fill(buf, mem::AccessBatch::kCapacity))
-        mem.primeBatch(buf, n);
-}
-
-/** Shared driver: run @p body over a strided sweep with priming. */
-template <typename Body>
+template <typename Measure>
 KernelResult
 runSweep(mem::MemoryHierarchy &mem, const KernelParams &p,
-         std::uint64_t bytes_per_element, Body &&body)
+         Measure &&measure)
 {
-    const std::uint64_t ws = effectiveWorkingSet(mem, p);
-    const std::uint64_t words = ws / wordBytes;
+    const std::uint64_t words = effectiveWorkingSet(mem, p) / wordBytes;
     const mem::StridedSweep sweep(p.base, words, p.stride);
 
     mem.resetAll();
-    const std::uint64_t caches = totalCacheBytes(mem.config());
-    if (p.prime && ws <= 2 * caches) {
-        // Warm the caches with exactly this working set.
-        if (p.timedPrime) {
-            for (std::uint64_t i = 0; i < sweep.size(); ++i)
-                mem.read(sweep[i]);
-            mem.drain();
-        } else {
-            primeFunctional(mem, sweep);
-        }
-    }
+    primeSweep(mem, p, sweep);
     mem.resetTiming();
 
-    for (std::uint64_t i = 0; i < sweep.size(); ++i)
-        body(sweep[i], i);
-    const Tick elapsed = mem.drain();
-
-    KernelResult res;
-    res.accesses = sweep.size();
-    res.bytes = words * bytes_per_element;
-    res.elapsed = elapsed;
-    res.mbs = bandwidthMBs(res.bytes, std::max<Tick>(elapsed, 1));
-    return res;
-}
-
-/**
- * Batched driver: identical setup/prime/drain protocol to runSweep,
- * but addresses are emitted in cursor blocks and handed to @p block
- * (buf, count, base_index) instead of one call per access.
- */
-template <typename Block>
-KernelResult
-runSweepBatched(mem::MemoryHierarchy &mem, const KernelParams &p,
-                std::uint64_t bytes_per_element,
-                std::size_t block_words, Block &&block)
-{
-    const std::uint64_t ws = effectiveWorkingSet(mem, p);
-    const std::uint64_t words = ws / wordBytes;
-    const mem::StridedSweep sweep(p.base, words, p.stride);
-
-    mem.resetAll();
-    const std::uint64_t caches = totalCacheBytes(mem.config());
-    if (p.prime && ws <= 2 * caches) {
-        if (p.timedPrime) {
-            primeBatched(mem, sweep);
-            mem.drain();
-        } else {
-            primeFunctional(mem, sweep);
-        }
-    }
-    mem.resetTiming();
-
-    mem::StridedSweep::Cursor cur(sweep);
-    Addr buf[mem::AccessBatch::kCapacity];
-    std::uint64_t base = 0;
-    while (const std::size_t n = cur.fill(buf, block_words)) {
-        block(buf, n, base);
-        base += n;
-    }
+    measure(sweep);
     const Tick elapsed = mem.drain();
 
     KernelResult res;
     res.accesses = words;
-    res.bytes = words * bytes_per_element;
+    res.bytes = words * wordBytes;
     res.elapsed = elapsed;
     res.mbs = bandwidthMBs(res.bytes, std::max<Tick>(elapsed, 1));
     return res;
@@ -163,30 +116,23 @@ runSweepBatched(mem::MemoryHierarchy &mem, const KernelParams &p,
 KernelResult
 loadSum(mem::MemoryHierarchy &mem, const KernelParams &p)
 {
-    if (mem::batchedSimEnabled())
-        return runSweepBatched(
-            mem, p, wordBytes, mem::AccessBatch::kCapacity,
-            [&mem](const Addr *buf, std::size_t n, std::uint64_t) {
-                mem.readBatch(buf, n);
-            });
-    return runSweep(mem, p, wordBytes,
-                    [&mem](Addr a, std::uint64_t) { mem.read(a); });
+    return runSweep(mem, p, [&mem](const mem::StridedSweep &sweep) {
+        mem::forEachBlock(sweep, [&mem](const Addr *a, std::size_t n) {
+            mem.readBatch(a, n);
+        });
+    });
 }
 
 KernelResult
 storeConstant(mem::MemoryHierarchy &mem, const KernelParams &p)
 {
-    KernelParams q = p;
     // Stores do not benefit from a read-primed cache; prime anyway for
     // symmetry (the paper's stores confirmed write-back behaviour).
-    if (mem::batchedSimEnabled())
-        return runSweepBatched(
-            mem, q, wordBytes, mem::AccessBatch::kCapacity,
-            [&mem](const Addr *buf, std::size_t n, std::uint64_t) {
-                mem.writeBatch(buf, n);
-            });
-    return runSweep(mem, q, wordBytes,
-                    [&mem](Addr a, std::uint64_t) { mem.write(a); });
+    return runSweep(mem, p, [&mem](const mem::StridedSweep &sweep) {
+        mem::forEachBlock(sweep, [&mem](const Addr *a, std::size_t n) {
+            mem.writeBatch(a, n);
+        });
+    });
 }
 
 KernelResult
@@ -203,67 +149,17 @@ copy(mem::MemoryHierarchy &mem, const KernelParams &p,
     // Pin the (possibly capped) working set so the load and store
     // sweeps agree on the element count.
     q.wsBytes = ws;
+    // The strided side visits its region in stride passes; the
+    // contiguous side pairs its i-th word with the i-th strided one.
+    q.stride = variant == CopyVariant::StridedLoads ? p.stride : 1;
+    const mem::StridedSweep stores(
+        dst_base, ws / wordBytes,
+        variant == CopyVariant::StridedStores ? p.stride : 1);
 
-    const bool batched = mem::batchedSimEnabled();
-    // A copy pairs one load with one store per element, so batch
-    // blocks hold half a batch of each.
-    constexpr std::size_t kPairWords = mem::AccessBatch::kCapacity / 2;
-
-    if (variant == CopyVariant::StridedLoads) {
-        // i-th strided load pairs with the i-th contiguous store.
-        KernelResult res =
-            batched
-                ? runSweepBatched(
-                      mem, q, wordBytes, kPairWords,
-                      [&mem, dst_base](const Addr *buf, std::size_t n,
-                                       std::uint64_t base) {
-                          mem::AccessBatch ab;
-                          for (std::size_t k = 0; k < n; ++k) {
-                              ab.push(buf[k], mem::AccessType::Read);
-                              ab.push(dst_base +
-                                          (base + k) * wordBytes,
-                                      mem::AccessType::Write);
-                          }
-                          mem.processBatch(ab);
-                      })
-                : runSweep(mem, q, wordBytes,
-                           [&mem, dst_base](Addr a, std::uint64_t i) {
-                               mem.read(a);
-                               mem.write(dst_base + i * wordBytes);
-                           });
-        res.accesses *= 2; // a load and a store per element
-        return res;
-    }
-    // Contiguous loads, strided stores: i-th contiguous load pairs
-    // with the i-th strided store.
-    const std::uint64_t words = ws / wordBytes;
-    const mem::StridedSweep store_sweep(dst_base, words, p.stride);
-    KernelParams lin = q;
-    lin.stride = 1;
-    KernelResult res;
-    if (batched) {
-        mem::StridedSweep::Cursor st(store_sweep);
-        res = runSweepBatched(
-            mem, lin, wordBytes, kPairWords,
-            [&mem, &st](const Addr *buf, std::size_t n,
-                        std::uint64_t) {
-                Addr sbuf[kPairWords];
-                const std::size_t m = st.fill(sbuf, n);
-                GASNUB_ASSERT(m == n, "copy sweeps out of step");
-                mem::AccessBatch ab;
-                for (std::size_t k = 0; k < n; ++k) {
-                    ab.push(buf[k], mem::AccessType::Read);
-                    ab.push(sbuf[k], mem::AccessType::Write);
-                }
-                mem.processBatch(ab);
-            });
-    } else {
-        res = runSweep(mem, lin, wordBytes,
-                       [&mem, &store_sweep](Addr a, std::uint64_t i) {
-                           mem.read(a);
-                           mem.write(store_sweep[i]);
-                       });
-    }
+    KernelResult res =
+        runSweep(mem, q, [&mem, &stores](const mem::StridedSweep &loads) {
+            copySweeps(mem, loads, stores);
+        });
     res.accesses *= 2; // a load and a store per element
     return res;
 }

@@ -52,15 +52,6 @@ struct KernelParams
      * set cannot be cached anyway.
      */
     bool prime = true;
-    /**
-     * Run the priming pass through the full timing simulation instead
-     * of the functional tag walk.  The warm state left behind is
-     * identical (resetTiming() discards everything else a timed prime
-     * produces), so this exists only as the reference oracle for the
-     * prime-equivalence tests; the functional walk is several times
-     * cheaper and is the default.
-     */
-    bool timedPrime = false;
 };
 
 /**
@@ -103,6 +94,22 @@ KernelResult copy(mem::MemoryHierarchy &mem, const KernelParams &p,
  */
 std::uint64_t effectiveWorkingSet(const mem::MemoryHierarchy &mem,
                                   const KernelParams &p);
+
+/**
+ * Warm @p mem with @p sweep through the functional tag walk
+ * (MemoryHierarchy::primeBatch) when @p p asks for priming and its
+ * working set fits in twice the total cache capacity.  Leaves the
+ * state a timed read sweep followed by resetTiming() would.
+ */
+void primeSweep(mem::MemoryHierarchy &mem, const KernelParams &p,
+                const mem::StridedSweep &sweep);
+
+/**
+ * Copy inner loop: the i-th access of @p loads paired with the i-th
+ * of @p stores, issued through MemoryHierarchy::processBatch().
+ */
+void copySweeps(mem::MemoryHierarchy &mem, const mem::StridedSweep &loads,
+                const mem::StridedSweep &stores);
 
 } // namespace gasnub::kernels
 

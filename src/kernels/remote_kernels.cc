@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "mem/access.hh"
-#include "mem/simmode.hh"
 #include "sim/logging.hh"
 #include "sim/units.hh"
 
@@ -69,9 +68,6 @@ remoteTransfer(machine::Machine &m, const RemoteParams &p)
     return res;
 }
 
-namespace {
-
-/** Disjoint per-node region base for machine-level kernels. */
 Addr
 nodeRegion(NodeId node)
 {
@@ -80,43 +76,6 @@ nodeRegion(NodeId node)
     return (static_cast<Addr>(node) << 34) +
            static_cast<Addr>(node) * 320;
 }
-
-/** Replay a whole sweep into @p h as batched reads. */
-void
-readSweepBatched(mem::MemoryHierarchy &h, const mem::StridedSweep &sweep)
-{
-    mem::StridedSweep::Cursor cur(sweep);
-    Addr buf[mem::AccessBatch::kCapacity];
-    while (const std::size_t n = cur.fill(buf, mem::AccessBatch::kCapacity))
-        h.readBatch(buf, n);
-}
-
-/** Replay a whole sweep into @p h as batched writes. */
-void
-writeSweepBatched(mem::MemoryHierarchy &h, const mem::StridedSweep &sweep)
-{
-    mem::StridedSweep::Cursor cur(sweep);
-    Addr buf[mem::AccessBatch::kCapacity];
-    while (const std::size_t n = cur.fill(buf, mem::AccessBatch::kCapacity))
-        h.writeBatch(buf, n);
-}
-
-/**
- * Warm @p h with the sweep via the functional tag walk (default
- * priming pass; see MemoryHierarchy::primeBatch).  On the 8400 the
- * prime hook replays the bus directory updates, so machine-level
- * coherence state is warmed exactly as a timed prime would.
- */
-void
-primeSweep(mem::MemoryHierarchy &h, const mem::StridedSweep &sweep)
-{
-    mem::StridedSweep::Cursor cur(sweep);
-    Addr buf[mem::AccessBatch::kCapacity];
-    while (const std::size_t n = cur.fill(buf, mem::AccessBatch::kCapacity))
-        h.primeBatch(buf, n);
-}
-
-} // namespace
 
 KernelResult
 loadSumOn(machine::Machine &m, NodeId node, const KernelParams &p)
@@ -127,31 +86,14 @@ loadSumOn(machine::Machine &m, NodeId node, const KernelParams &p)
     const std::uint64_t words = ws / wordBytes;
     const mem::StridedSweep sweep(p.base, words, p.stride);
 
-    std::uint64_t caches = 0;
-    for (const auto &lc : h.config().levels)
-        caches += lc.cache.sizeBytes;
-    const bool batched = mem::batchedSimEnabled();
-    if (p.prime && ws <= 2 * caches) {
-        if (!p.timedPrime) {
-            primeSweep(h, sweep);
-        } else {
-            if (batched) {
-                readSweepBatched(h, sweep);
-            } else {
-                for (std::uint64_t i = 0; i < sweep.size(); ++i)
-                    h.read(sweep[i]);
-            }
-            h.drain();
-        }
-    }
+    // On the 8400 the prime hook replays the bus directory updates,
+    // so machine-level coherence state is warmed as a timed prime
+    // would warm it.
+    primeSweep(h, p, sweep);
     m.resetTiming();
-
-    if (batched) {
-        readSweepBatched(h, sweep);
-    } else {
-        for (std::uint64_t i = 0; i < sweep.size(); ++i)
-            h.read(sweep[i]);
-    }
+    mem::forEachBlock(sweep, [&h](const Addr *a, std::size_t n) {
+        h.readBatch(a, n);
+    });
     const Tick elapsed = h.drain();
 
     KernelResult res;
@@ -171,12 +113,9 @@ storeConstantOn(machine::Machine &m, NodeId node, const KernelParams &p)
     const std::uint64_t words = ws / wordBytes;
     const mem::StridedSweep sweep(p.base, words, p.stride);
     m.resetTiming();
-    if (mem::batchedSimEnabled()) {
-        writeSweepBatched(h, sweep);
-    } else {
-        for (std::uint64_t i = 0; i < sweep.size(); ++i)
-            h.write(sweep[i]);
-    }
+    mem::forEachBlock(sweep, [&h](const Addr *a, std::size_t n) {
+        h.writeBatch(a, n);
+    });
     const Tick elapsed = h.drain();
 
     KernelResult res;
@@ -209,30 +148,7 @@ copyOn(machine::Machine &m, NodeId node, const KernelParams &p,
     const mem::StridedSweep stores(dst_base, words, store_stride);
 
     m.resetTiming();
-    if (mem::batchedSimEnabled()) {
-        // Interleave the two sweeps pairwise into mixed batches.
-        constexpr std::size_t kPairWords =
-            mem::AccessBatch::kCapacity / 2;
-        mem::StridedSweep::Cursor lc(loads);
-        mem::StridedSweep::Cursor sc(stores);
-        Addr lbuf[kPairWords];
-        Addr sbuf[kPairWords];
-        while (const std::size_t n = lc.fill(lbuf, kPairWords)) {
-            const std::size_t ns = sc.fill(sbuf, n);
-            GASNUB_ASSERT(ns == n, "copy sweeps out of step");
-            mem::AccessBatch ab;
-            for (std::size_t k = 0; k < n; ++k) {
-                ab.push(lbuf[k], mem::AccessType::Read);
-                ab.push(sbuf[k], mem::AccessType::Write);
-            }
-            h.processBatch(ab);
-        }
-    } else {
-        for (std::uint64_t i = 0; i < words; ++i) {
-            h.read(loads[i]);
-            h.write(stores[i]);
-        }
-    }
+    copySweeps(h, loads, stores);
     const Tick elapsed = h.drain();
 
     KernelResult res;
@@ -256,20 +172,8 @@ loadSumLoaded(machine::Machine &m, const KernelParams &p)
         sweeps.emplace_back(nodeRegion(id) + p.base, words, p.stride);
 
     // Prime cacheable working sets, as the idle measurement does.
-    std::uint64_t caches = 0;
-    for (const auto &lc : m.node(0).config().levels)
-        caches += lc.cache.sizeBytes;
-    if (p.prime && ws <= 2 * caches) {
-        for (NodeId id = 0; id < n; ++id) {
-            if (!p.timedPrime) {
-                primeSweep(m.node(id), sweeps[id]);
-                continue;
-            }
-            for (std::uint64_t i = 0; i < words; ++i)
-                m.node(id).read(sweeps[id][i]);
-            m.node(id).drain();
-        }
-    }
+    for (NodeId id = 0; id < n; ++id)
+        primeSweep(m.node(id), p, sweeps[id]);
     m.resetTiming();
     // Round-robin across processors so shared resources see requests
     // in roughly global time order.

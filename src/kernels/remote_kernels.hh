@@ -63,6 +63,9 @@ KernelResult copyOn(machine::Machine &m, NodeId node,
                     const KernelParams &p, CopyVariant variant,
                     Addr dst_base);
 
+/** Disjoint per-node region base of the loaded-machine kernels. */
+Addr nodeRegion(NodeId node);
+
 /**
  * Loaded-machine Load-Sum (paper Section 5.1): every processor runs
  * the benchmark concurrently on its own region; reported bandwidth is

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "mem/simmode.hh"
 #include "remote/cray_engine.hh"
 #include "remote/smp_pull.hh"
 #include "sim/logging.hh"
@@ -311,19 +310,10 @@ void
 Machine::produce(NodeId id, Addr base, std::uint64_t words)
 {
     mem::MemoryHierarchy &h = node(id);
-    if (mem::batchedSimEnabled()) {
-        Addr buf[mem::AccessBatch::kCapacity];
-        std::uint64_t i = 0;
-        while (i < words) {
-            std::size_t n = 0;
-            while (n < mem::AccessBatch::kCapacity && i < words)
-                buf[n++] = base + i++ * wordBytes;
-            h.writeBatch(buf, n);
-        }
-    } else {
-        for (std::uint64_t i = 0; i < words; ++i)
-            h.write(base + i * wordBytes);
-    }
+    mem::forEachBlock(mem::StridedSweep(base, words, 1),
+                      [&h](const Addr *a, std::size_t n) {
+                          h.writeBatch(a, n);
+                      });
     h.drain();
 }
 

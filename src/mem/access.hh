@@ -183,6 +183,24 @@ class StridedSweep
     std::uint64_t _longTotal;
 };
 
+/**
+ * Walk @p sweep in Cursor order, handing @p block (addrs, count) runs
+ * of at most @p max_words addresses — the unit the batched
+ * MemoryHierarchy calls consume.
+ */
+template <typename Block>
+void
+forEachBlock(const StridedSweep &sweep, Block &&block,
+             std::size_t max_words = AccessBatch::kCapacity)
+{
+    GASNUB_ASSERT(max_words <= AccessBatch::kCapacity,
+                  "block larger than a batch");
+    StridedSweep::Cursor cur(sweep);
+    Addr buf[AccessBatch::kCapacity];
+    while (const std::size_t n = cur.fill(buf, max_words))
+        block(buf, n);
+}
+
 } // namespace gasnub::mem
 
 #endif // GASNUB_MEM_ACCESS_HH

@@ -98,19 +98,9 @@ MemoryHierarchy::memorySide(Addr addr, FetchIntent intent, Tick earliest,
 }
 
 Tick
-MemoryHierarchy::dramLineRead(Addr line_addr, std::uint32_t line_bytes,
-                              Tick issue, bool &covered, bool exclusive)
-{
-    const StreamHit sh = _readAhead.note(line_addr, line_bytes);
-    covered = sh.covered;
-    return dramLineReadNoted(line_addr, line_bytes, issue, sh,
-                             exclusive);
-}
-
-Tick
-MemoryHierarchy::dramLineReadNoted(Addr line_addr,
-                                   std::uint32_t line_bytes, Tick issue,
-                                   const StreamHit &sh, bool exclusive)
+MemoryHierarchy::memoryFill(Addr line_addr, std::uint32_t line_bytes,
+                            Tick issue, const StreamHit &sh,
+                            bool exclusive)
 {
     ++_dramLineFills;
 
@@ -154,42 +144,6 @@ MemoryHierarchy::dramLineReadNoted(Addr line_addr,
     return ready;
 }
 
-Tick
-MemoryHierarchy::serveRead(std::size_t level, Addr addr, Tick issue,
-                           std::size_t &served_level, bool &covered,
-                           bool exclusive)
-{
-    const std::size_t n = _caches.size();
-    if (level == n) {
-        served_level = n;
-        const Addr line = addr & _lastLineMask;
-        return dramLineRead(line, _lastLineBytes, issue, covered,
-                            exclusive);
-    }
-
-    const LevelTicks &t = _levelTicks[level];
-    const CacheResult r = _caches[level]->access(addr, AccessType::Read);
-    if (r.hit) {
-        served_level = level;
-        const Tick occ = t.hitOcc;
-        const Tick start = _ports[level].acquire(issue, occ);
-        if (_acct)
-            _acct->charge(_cacheRes, start, start + occ);
-        return std::max(start + occ, issue + t.hit);
-    }
-
-    const Tick below = serveRead(level + 1, addr, issue, served_level,
-                                 covered, exclusive);
-    if (r.evictedDirty)
-        postWriteback(level, r.victimAddr, below);
-
-    const Tick fill_occ = t.fillOcc;
-    const Tick start = _ports[level].acquire(below, fill_occ);
-    if (_acct)
-        _acct->charge(_cacheRes, start, start + fill_occ);
-    return start + fill_occ;
-}
-
 void
 MemoryHierarchy::postWriteback(std::size_t from_level, Addr victim_line,
                                Tick earliest)
@@ -218,51 +172,65 @@ MemoryHierarchy::read(Addr addr)
 {
     GASNUB_PROF_ZONE("mem.read");
     ++_reads;
-    const Tick want = _nextIssue;
+    return readOne(addr);
+}
 
-    // Functional peek to decide whether this access consumes a slot of
-    // the bounded outstanding-read window.
-    std::size_t peek_level = _caches.size();
-    for (std::size_t k = 0; k < _caches.size(); ++k) {
-        if (_caches[k]->contains(addr)) {
-            peek_level = k;
-            break;
+void
+MemoryHierarchy::probe(std::size_t from, Addr addr, Walk &w)
+{
+    // Allocation at an upper level never changes a deeper level's
+    // probe, so one mutating top-down pass finds the serving level and
+    // records each level's victim for the fill unwind.
+    const std::size_t n = _caches.size();
+    w.served = n;
+    for (std::size_t k = from; k < n; ++k) {
+        w.levels[k] = _caches[k]->access(addr, AccessType::Read);
+        if (w.levels[k].hit) {
+            w.served = k;
+            return;
         }
     }
-    bool would_cover = false;
-    if (peek_level == _caches.size())
-        would_cover = _readAhead.wouldCover(addr & _lastLineMask);
-    const bool uses_window =
-        peek_level >= _config.windowFromLevel && !would_cover;
-
-    const Tick issue = uses_window ? _readWindow.admit(want) : want;
-    _nextIssue = issue + _loadIssueTicks;
-    if (_acct)
-        _acct->charge(_issueRes, issue, _nextIssue);
-
-    std::size_t served = 0;
-    bool covered = false;
-    const Tick ready =
-        serveRead(0, addr, issue, served, covered, false);
-
-    (void)covered;
-    if (uses_window) {
-        _readWindow.complete(ready);
-        if (_config.blockingOffchipReads)
-            _nextIssue = std::max(_nextIssue, ready);
-    }
-    _lastComplete = std::max(_lastComplete, ready);
-    return ready;
+    // Nothing between here and the fill touches the stream detector,
+    // so its verdict serves both window accounting and the fill.
+    w.stream = _readAhead.note(addr & _lastLineMask, _lastLineBytes);
 }
 
 Tick
-MemoryHierarchy::serveWrite(std::size_t level, Addr addr, Tick issue,
-                            std::size_t &served_level)
+MemoryHierarchy::serveAndFill(std::size_t from, Addr addr, Tick issue,
+                              const Walk &w, bool exclusive)
+{
+    Tick below;
+    if (w.served == _caches.size()) {
+        below = memoryFill(addr & _lastLineMask, _lastLineBytes, issue,
+                           w.stream, exclusive);
+    } else {
+        const LevelTicks &t = _levelTicks[w.served];
+        const Tick start = _ports[w.served].acquire(issue, t.hitOcc);
+        if (_acct)
+            _acct->charge(_cacheRes, start, start + t.hitOcc);
+        below = std::max(start + t.hitOcc, issue + t.hit);
+    }
+
+    // Fill upward, deepest first: each level posts its dirty victim,
+    // then passes the line on once its port is free.
+    for (std::size_t j = w.served; j-- > from;) {
+        if (w.levels[j].evictedDirty)
+            postWriteback(j, w.levels[j].victimAddr, below);
+        const Tick fill_occ = _levelTicks[j].fillOcc;
+        const Tick start = _ports[j].acquire(below, fill_occ);
+        if (_acct)
+            _acct->charge(_cacheRes, start, start + fill_occ);
+        below = start + fill_occ;
+    }
+    return below;
+}
+
+Tick
+MemoryHierarchy::serveWrite(std::size_t level, Addr addr, Tick issue)
 {
     const std::size_t n = _caches.size();
     if (level == n) {
         // Uncached word-granularity write to DRAM.
-        served_level = n;
         const DramResult dr = memorySide(
             addr, FetchIntent::Write, issue + _dramFrontTicks,
             static_cast<std::uint32_t>(wordBytes));
@@ -273,7 +241,6 @@ MemoryHierarchy::serveWrite(std::size_t level, Addr addr, Tick issue,
     const CacheResult r =
         _caches[level]->access(addr, AccessType::Write);
     if (r.hit) {
-        served_level = level;
         const Tick occ = t.hitOcc;
         const Tick start = _ports[level].acquire(issue, occ);
         if (_acct)
@@ -282,7 +249,7 @@ MemoryHierarchy::serveWrite(std::size_t level, Addr addr, Tick issue,
         if (_config.levels[level].cache.writePolicy ==
             WritePolicy::WriteThrough) {
             // Write-through: the word continues downstream.
-            done = serveWrite(level + 1, addr, issue, served_level);
+            done = serveWrite(level + 1, addr, issue);
         } else if (!r.wasDirty && _dramHook) {
             // First write to a clean cached line: the coherence
             // protocol must gain ownership (invalidate other copies).
@@ -294,24 +261,16 @@ MemoryHierarchy::serveWrite(std::size_t level, Addr addr, Tick issue,
     }
 
     if (r.allocated) {
-        // Write-allocate: fetch the line from below (read for
-        // ownership), then write.
-        std::size_t fill_from = 0;
-        bool covered = false;
-        const Tick below = serveRead(level + 1, addr, issue, fill_from,
-                                     covered, true);
-        served_level = fill_from;
-        if (r.evictedDirty)
-            postWriteback(level, r.victimAddr, below);
-        const Tick fill_occ = t.fillOcc;
-        const Tick start = _ports[level].acquire(below, fill_occ);
-        if (_acct)
-            _acct->charge(_cacheRes, start, start + fill_occ);
-        return start + fill_occ;
+        // Write-allocate: this level's miss heads a read-for-ownership
+        // walk that fetches the line from below, then writes it.
+        Walk w;
+        w.levels[level] = r;
+        probe(level + 1, addr, w);
+        return serveAndFill(level, addr, issue, w, true);
     }
 
     // No-write-allocate miss (write-through L1): forward downstream.
-    return serveWrite(level + 1, addr, issue, served_level);
+    return serveWrite(level + 1, addr, issue);
 }
 
 Tick
@@ -344,86 +303,36 @@ MemoryHierarchy::writeOne(Addr addr)
     if (_acct)
         _acct->charge(_issueRes, issue, _nextIssue);
 
-    std::size_t served = 0;
-    const Tick done = serveWrite(0, addr, issue, served);
+    const Tick done = serveWrite(0, addr, issue);
     _writeWindow.complete(done);
     _lastComplete = std::max(_lastComplete, done);
     return done;
 }
 
 Tick
-MemoryHierarchy::readFastOne(Addr addr)
+MemoryHierarchy::readOne(Addr addr)
 {
     const Tick want = _nextIssue;
-    const std::size_t n = _caches.size();
+    Walk w;
+    probe(0, addr, w);
 
-    // Single mutating walk replacing the legacy contains() peek +
-    // serveRead() descent.  Allocation at an upper level never changes
-    // a deeper level's probe, so the first hit of this walk is the
-    // same level the peek would have reported, and the stored per-level
-    // results let the fill unwind replay the exact legacy order.
-    CacheResult walk[kMaxLevels];
-    std::size_t hit_level = n;
-    for (std::size_t k = 0; k < n; ++k) {
-        walk[k] = _caches[k]->access(addr, AccessType::Read);
-        if (walk[k].hit) {
-            hit_level = k;
-            break;
-        }
-    }
-
-    // Off-chip fills run the stream detector once, up front: the
-    // note() verdict equals what the legacy wouldCover() preview
-    // reports (note is its mutating twin), and nothing between here
-    // and the fill touches the detector, so reusing it keeps the
-    // legacy byte-identity while dropping one full filter scan per
-    // miss.
-    bool would_cover = false;
-    Addr line = 0;
-    StreamHit sh;
-    if (hit_level == n) {
-        line = addr & _lastLineMask;
-        sh = _readAhead.note(line, _lastLineBytes);
-        would_cover = sh.covered;
-    }
+    // Reads served at or below windowFromLevel hold a slot of the
+    // bounded read window, unless the stream engine covers the fill.
     const bool uses_window =
-        hit_level >= _config.windowFromLevel && !would_cover;
-
+        w.served >= _config.windowFromLevel && !w.stream.covered;
     const Tick issue = uses_window ? _readWindow.admit(want) : want;
     _nextIssue = issue + _loadIssueTicks;
     if (_acct)
         _acct->charge(_issueRes, issue, _nextIssue);
 
-    Tick below;
-    if (hit_level == n) {
-        below = dramLineReadNoted(line, _lastLineBytes, issue, sh,
-                                  false);
-    } else {
-        const LevelTicks &t = _levelTicks[hit_level];
-        const Tick start = _ports[hit_level].acquire(issue, t.hitOcc);
-        if (_acct)
-            _acct->charge(_cacheRes, start, start + t.hitOcc);
-        below = std::max(start + t.hitOcc, issue + t.hit);
-    }
-
-    // Fill upward, deepest first — the unwind of the legacy recursion.
-    for (std::size_t j = hit_level; j-- > 0;) {
-        if (walk[j].evictedDirty)
-            postWriteback(j, walk[j].victimAddr, below);
-        const Tick fill_occ = _levelTicks[j].fillOcc;
-        const Tick start = _ports[j].acquire(below, fill_occ);
-        if (_acct)
-            _acct->charge(_cacheRes, start, start + fill_occ);
-        below = start + fill_occ;
-    }
-
+    const Tick ready = serveAndFill(0, addr, issue, w, false);
     if (uses_window) {
-        _readWindow.complete(below);
+        _readWindow.complete(ready);
         if (_config.blockingOffchipReads)
-            _nextIssue = std::max(_nextIssue, below);
+            _nextIssue = std::max(_nextIssue, ready);
     }
-    _lastComplete = std::max(_lastComplete, below);
-    return below;
+    _lastComplete = std::max(_lastComplete, ready);
+    return ready;
 }
 
 void
@@ -432,7 +341,7 @@ MemoryHierarchy::readBatch(const Addr *addrs, std::size_t n)
     GASNUB_PROF_ZONE("mem.readBatch");
     _reads += static_cast<double>(n);
     for (std::size_t i = 0; i < n; ++i)
-        readFastOne(addrs[i]);
+        readOne(addrs[i]);
 }
 
 void
@@ -455,7 +364,7 @@ MemoryHierarchy::processBatch(const AccessBatch &batch)
     _writes += static_cast<double>(batch.count - reads);
     for (std::size_t i = 0; i < batch.count; ++i) {
         if (batch.kinds[i] == AccessType::Read)
-            readFastOne(batch.addrs[i]);
+            readOne(batch.addrs[i]);
         else
             writeOne(batch.addrs[i]);
     }

@@ -140,15 +140,14 @@ class MemoryHierarchy
     Tick write(Addr addr);
 
     /**
-     * Batched fast path: issue @p n word loads in program order.
-     * Timing, functional state, and stats are bit-identical to n
-     * read() calls; the per-access profiler zone, stats increments,
-     * and the double cache walk (peek + access) are hoisted out of
-     * the loop.
+     * Batched path: issue @p n word loads in program order.  Timing,
+     * functional state, and stats are bit-identical to n read() calls;
+     * only the per-access profiler zone and stats increments are
+     * hoisted out of the loop.
      */
     void readBatch(const Addr *addrs, std::size_t n);
 
-    /** Batched fast path for @p n word stores (see readBatch). */
+    /** Batched path for @p n word stores (see readBatch). */
     void writeBatch(const Addr *addrs, std::size_t n);
 
     /**
@@ -304,57 +303,56 @@ class MemoryHierarchy
 
   private:
     /**
-     * Serve a read at @p level, filling upward.  Performs functional
-     * tag updates and charges timing.
-     * @param level Cache level to probe (numLevels() = DRAM).
-     * @param addr  Accessed address.
-     * @param issue Processor issue tick.
-     * @param served_level Out: the level that provided the data.
-     * @param covered Out: true if a stream covered the DRAM fill.
-     * @return data-ready tick at the processor.
-     */
-    Tick serveRead(std::size_t level, Addr addr, Tick issue,
-                   std::size_t &served_level, bool &covered,
-                   bool exclusive);
-
-    /**
      * Serve a store at @p level (the first write-back level under a
      * write-through L1). Write-allocate misses fetch the line.
      * @return completion tick.
      */
-    Tick serveWrite(std::size_t level, Addr addr, Tick issue,
-                    std::size_t &served_level);
+    Tick serveWrite(std::size_t level, Addr addr, Tick issue);
 
     /** Post a victim writeback from @p level to the level below. */
     void postWriteback(std::size_t from_level, Addr victim_line,
                        Tick earliest);
 
-    /** Read one line from DRAM (demand or covered). */
-    Tick dramLineRead(Addr line_addr, std::uint32_t line_bytes,
-                      Tick issue, bool &covered, bool exclusive);
-
     /**
-     * dramLineRead for a fill the caller already ran through
-     * ReadAhead::note() — the fast path notes once and reuses the
-     * verdict for both window accounting and the fill itself, where
-     * the legacy path pays a wouldCover() preview scan plus the
-     * note() scan per off-chip miss.
+     * Read one line from memory for a fill whose ReadAhead::note()
+     * verdict is @p sh (demand, or covered by a stream).
      */
-    Tick dramLineReadNoted(Addr line_addr, std::uint32_t line_bytes,
-                           Tick issue, const StreamHit &sh,
-                           bool exclusive);
+    Tick memoryFill(Addr line_addr, std::uint32_t line_bytes, Tick issue,
+                    const StreamHit &sh, bool exclusive);
 
     /** Route one memory-side access via the hook or local DRAM. */
     DramResult memorySide(Addr addr, FetchIntent intent, Tick earliest,
                           std::uint32_t bytes);
 
+    /** Upper bound on cache levels (read-walk scratch array). */
+    static constexpr std::size_t kMaxLevels = 8;
+
+    /** The probe half of the read walk, consumed by serveAndFill(). */
+    struct Walk
+    {
+        CacheResult levels[kMaxLevels]; ///< per-level probe results
+        std::size_t served = 0; ///< serving level; numLevels() = memory
+        StreamHit stream;       ///< note() verdict of a memory fill
+    };
+
     /**
-     * One load on the fast path: a single mutating cache walk decides
-     * hit level, window use, and eviction unwinding — replacing the
-     * legacy contains() peek + serveRead() descent with identical
-     * resource-acquisition and accounting order.
+     * Probe levels from @p from down with Cache::access until one
+     * hits; if none does, run the line through ReadAhead::note() once.
      */
-    Tick readFastOne(Addr addr);
+    void probe(std::size_t from, Addr addr, Walk &w);
+
+    /**
+     * Serve @p w at its serving level (or from memory) and fill every
+     * level in [from, w.served) upward, deepest first, posting their
+     * dirty victims. @p exclusive marks a read-for-ownership fill.
+     * @return data-ready tick at level @p from.
+     */
+    Tick serveAndFill(std::size_t from, Addr addr, Tick issue,
+                      const Walk &w, bool exclusive);
+
+    /** One load, shared by read() and the batch paths (no
+     * prof-zone/stat updates — callers hoist those). */
+    Tick readOne(Addr addr);
 
     /** One store, shared by write() and the batch paths (no
      * prof-zone/stat updates — callers hoist those). */
@@ -362,11 +360,8 @@ class MemoryHierarchy
 
     Tick nsTicks(double ns) const;
 
-    /** Upper bound on cache levels (fast-path walk scratch array). */
-    static constexpr std::size_t kMaxLevels = 8;
-
     /** Per-level timing precomputed from the config (== nsTicks of
-     * the LevelTiming fields, so both paths share exact values). */
+     * the LevelTiming fields). */
     struct LevelTicks
     {
         Tick hit = 0;

@@ -7,6 +7,7 @@
 #include <ostream>
 
 #include "sim/logging.hh"
+#include "sim/stats.hh"
 
 namespace gasnub::metrics {
 
@@ -427,8 +428,11 @@ Registry::exportJson(std::ostream &os, std::int64_t now_sec,
     os << "{\"metrics\": [" << sep;
     for (std::size_t i = 0; i < _entries.size(); ++i) {
         const Entry &e = _entries[i];
-        os << indent << "{\"name\": \"" << e.metric->name()
-           << "\", \"desc\": \"" << e.metric->desc() << "\", ";
+        os << indent << "{\"name\": \"";
+        stats::jsonEscape(os, e.metric->name());
+        os << "\", \"desc\": \"";
+        stats::jsonEscape(os, e.metric->desc());
+        os << "\", ";
         switch (e.kind) {
         case Kind::Counter:
             os << "\"type\": \"counter\", \"value\": "

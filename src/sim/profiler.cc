@@ -6,6 +6,8 @@
 #include <cstring>
 #include <ostream>
 
+#include "sim/stats.hh"
+
 namespace gasnub::prof {
 
 namespace detail {
@@ -21,15 +23,6 @@ namespace {
  * earlier).
  */
 thread_local Profiler::ThreadData *tlsData = nullptr;
-
-std::uint64_t
-nowNs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
 
 } // namespace
 
@@ -207,18 +200,6 @@ formatSeconds(std::uint64_t ns)
     return buf;
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
 } // namespace
 
 std::vector<ZoneStats>
@@ -272,11 +253,13 @@ Profiler::reportJson(std::ostream &os) const
        << threads() << ",\"zones\":[";
     bool first = true;
     for (const ZoneStats &z : zones) {
-        os << (first ? "" : ",") << "{\"path\":\""
-           << jsonEscape(z.path) << "\",\"name\":\""
-           << jsonEscape(z.name) << "\",\"depth\":" << z.depth
-           << ",\"calls\":" << z.calls << ",\"totalNs\":" << z.totalNs
-           << ",\"selfNs\":" << z.selfNs << "}";
+        os << (first ? "" : ",") << "{\"path\":\"";
+        stats::jsonEscape(os, z.path);
+        os << "\",\"name\":\"";
+        stats::jsonEscape(os, z.name);
+        os << "\",\"depth\":" << z.depth << ",\"calls\":" << z.calls
+           << ",\"totalNs\":" << z.totalNs << ",\"selfNs\":" << z.selfNs
+           << "}";
         first = false;
     }
     os << "]}\n";

@@ -11,11 +11,8 @@
 
 namespace gasnub::stats {
 
-namespace {
-
-/** JSON-escape @p s into @p os (quotes not included). */
 void
-jsonEscape(std::ostream &os, const std::string &s)
+jsonEscape(std::ostream &os, std::string_view s)
 {
     for (const char c : s) {
         switch (c) {
@@ -34,6 +31,8 @@ jsonEscape(std::ostream &os, const std::string &s)
         }
     }
 }
+
+namespace {
 
 /** A JSON string literal. */
 void

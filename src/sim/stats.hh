@@ -14,6 +14,7 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/types.hh"
@@ -21,6 +22,13 @@
 namespace gasnub::stats {
 
 class Group;
+
+/**
+ * JSON-escape @p s into @p os (quotes not included): `"`, `\` and
+ * every control byte are escaped, so any name yields valid JSON.  The
+ * one escaper behind all of the project's JSON writers.
+ */
+void jsonEscape(std::ostream &os, std::string_view s);
 
 /** Base class for all named statistics. */
 class StatBase

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "sim/logging.hh"
+#include "sim/stats.hh"
 
 namespace gasnub::trace {
 
@@ -180,29 +181,6 @@ Tracer::sortedOrder() const
 
 namespace {
 
-/** JSON-escape @p s into @p os (quotes not included). */
-void
-jsonEscape(std::ostream &os, const char *s)
-{
-    for (; *s; ++s) {
-        const char c = *s;
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          case '\r': os << "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                const char hex[] = "0123456789abcdef";
-                os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-            } else {
-                os << c;
-            }
-        }
-    }
-}
-
 /**
  * Print @p ticks (picoseconds) as microseconds with six fractional
  * digits, using integer arithmetic only (byte-deterministic).
@@ -242,7 +220,7 @@ Tracer::exportChromeJson(std::ostream &os) const
         first = false;
         os << "{\"ph\":\"M\",\"pid\":0,\"tid\":" << t
            << ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-        jsonEscape(os, _tracks[t].c_str());
+        stats::jsonEscape(os, _tracks[t].c_str());
         os << "\"}}";
     }
 
@@ -253,7 +231,7 @@ Tracer::exportChromeJson(std::ostream &os) const
         first = false;
         os << "{\"ph\":\"X\",\"pid\":0,\"tid\":" << e.track
            << ",\"cat\":\"" << categoryName(e.cat) << "\",\"name\":\"";
-        jsonEscape(os, e.name);
+        stats::jsonEscape(os, e.name);
         os << "\",\"ts\":";
         printMicros(os, e.start);
         os << ",\"dur\":";
@@ -261,11 +239,11 @@ Tracer::exportChromeJson(std::ostream &os) const
         os << ",\"args\":{";
         if (e.key0) {
             os << "\"";
-            jsonEscape(os, e.key0);
+            stats::jsonEscape(os, e.key0);
             os << "\":" << e.val0;
             if (e.key1) {
                 os << ",\"";
-                jsonEscape(os, e.key1);
+                stats::jsonEscape(os, e.key1);
                 os << "\":" << e.val1;
             }
         }

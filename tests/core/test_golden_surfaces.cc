@@ -8,21 +8,35 @@
  * To regenerate the golden files after an *intentional* model change:
  *
  *     GASNUB_REGEN_GOLDEN=1 ./build/tests/test_core \
- *         --gtest_filter='GoldenSurfaces*'
+ *         --gtest_filter='*Golden*'
  *
- * then review the diff of tests/data/*.surf and commit it together
- * with the model change that explains it.
+ * then review the diff of the golden files under tests/data and commit
+ * it together with the model change that explains it.
+ *
+ * The GoldenBytes cases are stricter: each file holds a saved surface
+ * (attribution rows included) followed by the machine's full stats
+ * JSON, and a serial Characterizer and a 4-worker SweepRunner must
+ * both reproduce it byte for byte.  They pin every local kernel family
+ * on every machine, with and without an injected fault plan, plus the
+ * remote sweeps that run Machine::produce().  The same variable
+ * regenerates them (from the serial run).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/characterizer.hh"
 #include "core/surface_io.hh"
+#include "core/sweep_runner.hh"
 #include "machine/machine.hh"
+#include "sim/trace.hh"
 #include "sim/units.hh"
 
 #ifndef GASNUB_TESTS_DATA_DIR
@@ -137,6 +151,150 @@ INSTANTIATE_TEST_SUITE_P(All, GoldenSurfaces,
                                  goldenCases()[info.param].file;
                              n = n.substr(0, n.find('.'));
                              return n;
+                         });
+
+struct BytesCase
+{
+    std::string name; ///< test name; file golden_bytes_<name>.txt
+    machine::SystemKind kind;
+    SweepSpec spec;
+    CharacterizeConfig cfg;
+    bool attribution;
+    std::string faults;
+};
+
+CharacterizeConfig
+bytesLocalGrid()
+{
+    // 512 KiB overflows the write-back L2s, so stores and copies also
+    // pin the dirty-victim writebacks of the fill path.
+    CharacterizeConfig cfg;
+    cfg.workingSets = {2_KiB, 32_KiB, 512_KiB};
+    cfg.strides = {1, 3, 8, 64};
+    cfg.capBytes = 1_MiB;
+    return cfg;
+}
+
+CharacterizeConfig
+bytesRemoteGrid()
+{
+    CharacterizeConfig cfg;
+    cfg.workingSets = {16_KiB, 64_KiB};
+    cfg.strides = {1, 2};
+    cfg.capBytes = 64_KiB;
+    return cfg;
+}
+
+std::vector<BytesCase>
+bytesCases()
+{
+    const std::pair<const char *, machine::SystemKind> machines[] = {
+        {"dec8400", machine::SystemKind::Dec8400},
+        {"t3d", machine::SystemKind::CrayT3D},
+        {"t3e", machine::SystemKind::CrayT3E},
+    };
+    const std::pair<const char *, SweepSpec> families[] = {
+        {"loads", SweepSpec::localLoads(0)},
+        {"stores", SweepSpec::localStores(0)},
+        {"copy_sload",
+         SweepSpec::localCopy(kernels::CopyVariant::StridedLoads, 0)},
+        {"copy_sstore",
+         SweepSpec::localCopy(kernels::CopyVariant::StridedStores, 0)},
+    };
+    std::vector<BytesCase> cases;
+    for (const auto &[mname, kind] : machines) {
+        for (const auto &[kname, spec] : families) {
+            const std::string name = std::string(mname) + "_" + kname;
+            cases.push_back(
+                {name, kind, spec, bytesLocalGrid(), true, ""});
+            cases.push_back({name + "_faulty", kind, spec,
+                             bytesLocalGrid(), true,
+                             "seed=7;dram-stall:prob=.3,extra=300"});
+        }
+    }
+    cases.push_back(
+        {"t3d_deposit", machine::SystemKind::CrayT3D,
+         SweepSpec::remote(remote::TransferMethod::Deposit, false, 1, 0),
+         bytesRemoteGrid(), false, ""});
+    cases.push_back(
+        {"t3e_fetch", machine::SystemKind::CrayT3E,
+         SweepSpec::remote(remote::TransferMethod::Fetch, false, 1, 0),
+         bytesRemoteGrid(), false, ""});
+    return cases;
+}
+
+/**
+ * Saved surface followed by the stats JSON of one case.  @p jobs <= 0
+ * runs a serial Characterizer; otherwise a SweepRunner with that many
+ * workers, its stats merged into the main machine as the drivers do.
+ */
+std::string
+computeBytes(const BytesCase &bc, int jobs)
+{
+    trace::Tracer tracer;
+    trace::ScopedThreadTracer scoped(tracer, 0);
+    machine::SystemConfig sys;
+    sys.kind = bc.kind;
+    sys.attribution = bc.attribution;
+    if (!bc.faults.empty())
+        sys.faults = sim::FaultPlan::parse(bc.faults);
+    machine::Machine m(sys);
+    std::ostringstream os;
+    if (jobs <= 0) {
+        Characterizer c(m);
+        saveSurface(c.run(bc.spec, bc.cfg), os);
+    } else {
+        SweepRunner runner(sys, jobs);
+        saveSurface(runner.run(bc.spec, bc.cfg), os);
+        runner.mergeStatsInto(m.statsGroup());
+    }
+    m.statsGroup().dumpJson(os);
+    return os.str();
+}
+
+std::string
+bytesPath(const BytesCase &bc)
+{
+    return std::string(GASNUB_TESTS_DATA_DIR) + "/golden_bytes_" +
+           bc.name + ".txt";
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << "missing golden file " << path;
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
+class GoldenBytes : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(GoldenBytes, SerialMatchesCommittedFile)
+{
+    const BytesCase bc = bytesCases()[GetParam()];
+    const std::string fresh = computeBytes(bc, 0);
+    if (std::getenv("GASNUB_REGEN_GOLDEN")) {
+        std::ofstream(bytesPath(bc), std::ios::binary) << fresh;
+        GTEST_SKIP() << "regenerated " << bytesPath(bc);
+    }
+    EXPECT_EQ(readFile(bytesPath(bc)), fresh);
+}
+
+TEST_P(GoldenBytes, ParallelMatchesCommittedFile)
+{
+    const BytesCase bc = bytesCases()[GetParam()];
+    EXPECT_EQ(readFile(bytesPath(bc)), computeBytes(bc, 4));
+}
+
+INSTANTIATE_TEST_SUITE_P(All, GoldenBytes,
+                         ::testing::Range<std::size_t>(
+                             0, bytesCases().size()),
+                         [](const auto &info) {
+                             return bytesCases()[info.param].name;
                          });
 
 } // namespace

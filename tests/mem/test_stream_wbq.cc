@@ -79,19 +79,6 @@ TEST(ReadAhead, CompetingStreamsEvictViaTheFilter)
     EXPECT_FALSE(ra.note(128, 64).covered); // A gone
 }
 
-TEST(ReadAhead, WouldCoverPredictsNote)
-{
-    StreamConfig cfg;
-    cfg.streams = 1;
-    cfg.threshold = 3;
-    ReadAhead ra(cfg);
-    for (Addr a = 0; a < 64 * 20; a += 64) {
-        const bool predicted = ra.wouldCover(a);
-        const bool actual = ra.note(a, 64).covered;
-        EXPECT_EQ(predicted, actual) << "at line " << a;
-    }
-}
-
 TEST(ReadAhead, DisabledNeverCovers)
 {
     StreamConfig cfg;

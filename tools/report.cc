@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "core/surface_io.hh"
+#include "sim/stats.hh"
 #include "sim/units.hh"
 
 #include "json_util.hh"
@@ -422,18 +423,6 @@ printMd(const std::vector<Report> &reports, const Throughput &thr,
     }
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
 void
 printJson(const std::vector<Report> &reports, const Throughput &thr,
           std::ostream &os)
@@ -460,9 +449,9 @@ printJson(const std::vector<Report> &reports, const Throughput &thr,
     os << "\"reports\":[";
     bool firstRep = true;
     for (const Report &rep : reports) {
-        os << (firstRep ? "" : ",") << "{\"title\":\""
-           << jsonEscape(rep.title) << "\",\"source\":\""
-           << rep.source << "\",\"regions\":[";
+        os << (firstRep ? "" : ",") << "{\"title\":\"";
+        stats::jsonEscape(os, rep.title);
+        os << "\",\"source\":\"" << rep.source << "\",\"regions\":[";
         firstRep = false;
         bool firstReg = true;
         for (const Region &r : rep.regions) {
@@ -476,9 +465,10 @@ printJson(const std::vector<Report> &reports, const Throughput &thr,
             for (const Slice &s : r.slices) {
                 char buf[32];
                 std::snprintf(buf, sizeof(buf), "%.4f", s.share);
-                os << (firstSl ? "" : ",") << "{\"resource\":\""
-                   << jsonEscape(s.resource) << "\",\"sharePercent\":"
-                   << buf << ",\"ticks\":" << s.ticks << "}";
+                os << (firstSl ? "" : ",") << "{\"resource\":\"";
+                stats::jsonEscape(os, s.resource);
+                os << "\",\"sharePercent\":" << buf
+                   << ",\"ticks\":" << s.ticks << "}";
                 firstSl = false;
             }
             os << "]}";
