@@ -2,7 +2,7 @@
  * @file
  * google-benchmark microbenchmarks of the simulator itself: host-side
  * throughput of the core components (cache probes, hierarchy
- * accesses, DRAM calendar, torus packets, event queue).  These guard
+ * accesses, the backfill calendar, torus packets, event queue).  These guard
  * against performance regressions in the simulation engine — the
  * figure benches sweep hundreds of grid points and depend on them.
  */
@@ -14,6 +14,7 @@
 #include "machine/machine.hh"
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
+#include "mem/resource.hh"
 #include "noc/torus.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
@@ -76,6 +77,31 @@ BM_HierarchyStridedReads(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HierarchyStridedReads);
+
+void
+BM_ResourceBackfill(benchmark::State &state)
+{
+    // Two interleaved flows on one backfill calendar at the default
+    // horizon, the pattern of a t3d fetch: the request flow runs ahead
+    // and leaves idle gaps, the reply flow trails it by a few thousand
+    // gaps and claims time inside them, splitting a gap deep in the
+    // calendar on every call.
+    mem::Resource r;
+    r.enableBackfill();
+    sim::Rng rng(3);
+    const Tick lag = 200000;
+    Tick request = lag;
+    Tick reply = 0;
+    for (auto _ : state) {
+        request += 40 + rng.below(40);
+        benchmark::DoNotOptimize(r.acquire(request, 20));
+        const Tick trail = request - lag + rng.below(1000);
+        reply = trail > reply ? trail : reply;
+        benchmark::DoNotOptimize(r.acquire(reply, 10));
+    }
+    state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_ResourceBackfill);
 
 void
 BM_TorusPacket(benchmark::State &state)

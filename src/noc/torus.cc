@@ -62,6 +62,7 @@ Torus::Torus(const TorusConfig &config, stats::Group *parent)
     _nicsOut.resize(_nicCount);
     _nicsIn.resize(_nicCount);
     _lastPartner.assign(_nicCount, invalidNode);
+    _routes.resize(_nicCount);
     for (auto &l : _links)
         l.enableBackfill();
     for (auto &p : _nicsOut)
@@ -133,7 +134,7 @@ Torus::linkIndex(int dim, int dir, int router,
 }
 
 void
-Torus::route(NodeId src, NodeId dst, std::vector<std::size_t> &links,
+Torus::route(NodeId src, NodeId dst, std::vector<std::uint32_t> &links,
              int &detours) const
 {
     links.clear();
@@ -187,7 +188,8 @@ Torus::route(NodeId src, NodeId dst, std::vector<std::size_t> &links,
         for (int h = 0; h < hops; ++h) {
             const int router =
                 at.x + _config.dimX * (at.y + _config.dimY * at.z);
-            links.push_back(linkIndex(d, dir > 0 ? 0 : 1, router, at));
+            links.push_back(static_cast<std::uint32_t>(
+                linkIndex(d, dir > 0 ? 0 : 1, router, at)));
             *cur[d] = (*cur[d] + dir + dims[d]) % dims[d];
         }
     }
@@ -260,25 +262,31 @@ Torus::send(NodeId src, NodeId dst, std::uint32_t payload_bytes,
         return res;
     }
 
-    if (src != _routeCacheSrc || dst != _routeCacheDst) {
-        // Invalidate first: route() throws when every direction of a
-        // ring is severed, and a half-written cache must not survive.
-        _routeCacheSrc = invalidNode;
-        _routeCacheDst = invalidNode;
+    std::vector<RouteEntry> &row = _routes[src_nic];
+    if (row.empty())
+        row.resize(_nicCount);
+    RouteEntry &rt = row[dst_nic];
+    if (rt.begin == kNoRoute) {
+        // route() throws when every direction of a ring is severed;
+        // the entry is only written once a route exists.
+        std::vector<std::uint32_t> links;
         int detours = 0;
-        route(src, dst, _routeCache, detours);
-        _routeCacheDetours = detours;
-        _routeCacheSrc = src;
-        _routeCacheDst = dst;
+        route(src, dst, links, detours);
+        rt.hops = static_cast<std::uint16_t>(links.size());
+        rt.detours = static_cast<std::uint16_t>(detours);
+        rt.begin = static_cast<std::uint32_t>(_routeLinks.size());
+        _routeLinks.insert(_routeLinks.end(), links.begin(), links.end());
     }
-    if (_routeCacheDetours)
-        _faultDetours += _routeCacheDetours;
-    res.hops = static_cast<int>(_routeCache.size());
+    if (rt.detours)
+        _faultDetours += rt.detours;
+    res.hops = rt.hops;
 
     // Cut-through: the head advances one hop latency per router; each
     // link is occupied for the full wire time of the packet.
     Tick head = injected + _nicTicks;
-    for (const std::size_t l : _routeCache) {
+    const std::uint32_t *route_links = _routeLinks.data() + rt.begin;
+    for (int h = 0; h < rt.hops; ++h) {
+        const std::uint32_t l = route_links[h];
         Tick occupy = wire_ticks;
         if (_anyLinkSlow && _linkSlow[l] != 1.0) {
             // A slow link carries the same bytes at a fraction of the
@@ -318,10 +326,10 @@ Torus::setFaults(sim::FaultDomain *domain)
     _nicFault.clear();
     _anyLinkSlow = false;
     _anyLinkDown = false;
-    // Severed links change the detour structure: drop the route cache.
-    _routeCacheSrc = invalidNode;
-    _routeCacheDst = invalidNode;
-    _routeCacheDetours = 0;
+    // Severed links change the detour structure: drop the route table.
+    for (auto &row : _routes)
+        row.clear();
+    _routeLinks.clear();
     if (!domain)
         return;
     for (const sim::FaultSpec &s : domain->plan().specs()) {

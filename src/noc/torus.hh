@@ -152,7 +152,7 @@ class Torus
      * way round.  Throws sim::FaultError when no fault-free route
      * exists.
      */
-    void route(NodeId src, NodeId dst, std::vector<std::size_t> &links,
+    void route(NodeId src, NodeId dst, std::vector<std::uint32_t> &links,
                int &detours) const;
 
     TorusConfig _config;
@@ -168,18 +168,29 @@ class Torus
     std::vector<mem::Resource> _nicsIn;
     std::vector<NodeId> _lastPartner;  ///< per NIC
 
+    static constexpr std::uint32_t kNoRoute = ~std::uint32_t{0};
+
+    /** One (source router, destination router) route. */
+    struct RouteEntry
+    {
+        std::uint32_t begin = kNoRoute; ///< first link in _routeLinks
+        std::uint16_t hops = 0;
+        std::uint16_t detours = 0;
+    };
+
     /**
-     * Single-entry route cache: bulk transfers send long runs of
-     * packets between the same (src, dst) pair, so the dimension-order
-     * walk (and its fault detour count) is computed once per pair
-     * instead of once per packet.  Invalidated when the fault topology
-     * changes (setFaults); reset() keeps it — calendars change between
+     * Route table, one row per source router (allocated on its first
+     * packet) with one entry per destination router, filled on a
+     * pair's first packet: the dimension-order walk and its fault
+     * detour count are computed once per pair, not once per packet
+     * (requests and replies alternate direction, so a bulk transfer
+     * touches two pairs in turn).  An unroutable pair throws and is
+     * never entered.  Cleared when the fault topology changes
+     * (setFaults); reset() keeps it — calendars change between
      * experiments, link geometry does not.
      */
-    std::vector<std::size_t> _routeCache;
-    NodeId _routeCacheSrc = invalidNode;
-    NodeId _routeCacheDst = invalidNode;
-    int _routeCacheDetours = 0;
+    std::vector<std::vector<RouteEntry>> _routes;
+    std::vector<std::uint32_t> _routeLinks; ///< all link lists, packed
 
     sim::TimeAccount *_acct = nullptr;
     sim::TimeAccount::ResId _linkRes = 0;

@@ -10,7 +10,7 @@
 namespace gasnub::trace {
 
 namespace detail {
-thread_local std::uint32_t activeMask = 0;
+constinit thread_local std::uint32_t activeMask = 0;
 } // namespace detail
 
 namespace {

@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 
 #include "machine/machine.hh"
 #include "noc/torus.hh"
 #include "sim/fault.hh"
+#include "sim/rng.hh"
 
 namespace {
 
@@ -235,6 +237,110 @@ TEST(TorusFaults, NicBackpressureDelaysInjection)
     EXPECT_EQ(faultStat(t, "nicStalls"), 1.0);
     EXPECT_EQ(faultStat(t, "nicStallTicks"),
               static_cast<double>(extra));
+}
+
+/** Every stat of @p t, as the human-readable dump. */
+std::string
+statsDump(Torus &t)
+{
+    std::ostringstream os;
+    t.statsGroup().dump(os);
+    return os.str();
+}
+
+/**
+ * Send one seeded stream of request/reply packet pairs (each pair
+ * reversing direction, the pattern of a fetch) through @p cached,
+ * which keeps its route table, and through @p fresh, whose table is
+ * dropped by re-installing @p domain before every packet, so every
+ * packet is routed from scratch.  Both must agree packet by packet
+ * and in every stat.
+ */
+void
+expectTableMatchesFreshRoutes(sim::FaultDomain *domain)
+{
+    Torus cached(smallTorus());
+    Torus fresh(smallTorus());
+    cached.setFaults(domain);
+    sim::Rng rng(11);
+    Tick t = 0;
+    for (int i = 0; i < 2000; ++i) {
+        const NodeId a = static_cast<NodeId>(rng.below(8));
+        NodeId b = static_cast<NodeId>(rng.below(8));
+        if (a == b)
+            b = (b + 1) % 8;
+        // A few pairs repeat often enough to hit the table hot.
+        const NodeId src = i % 3 == 0 ? 0 : a;
+        const NodeId dst = i % 3 == 0 ? 5 : b;
+        t += rng.below(200000);
+        for (const auto &[s, d] : {std::pair{src, dst}, {dst, src}}) {
+            fresh.setFaults(domain);
+            const PacketResult want = fresh.send(s, d, 64, t);
+            const PacketResult got = cached.send(s, d, 64, t);
+            ASSERT_EQ(got.injected, want.injected) << "packet " << i;
+            ASSERT_EQ(got.arrived, want.arrived) << "packet " << i;
+            ASSERT_EQ(got.hops, want.hops) << "packet " << i;
+        }
+    }
+    EXPECT_EQ(statsDump(cached), statsDump(fresh));
+}
+
+TEST(TorusRouteTable, AlternatingDirectionsMatchFreshRoutes)
+{
+    expectTableMatchesFreshRoutes(nullptr);
+}
+
+TEST(TorusRouteTable, DetoursCountedPerSendFromTheTable)
+{
+    const sim::FaultPlan plan = sim::FaultPlan::parse(
+        "link-down:router=0,dir=+x;link-slow:router=5,dir=-y,factor=3");
+    sim::FaultDomain dom(plan);
+    expectTableMatchesFreshRoutes(&dom);
+}
+
+TEST(TorusRouteTable, SetFaultsReroutesAKnownPair)
+{
+    Torus t(smallTorus());
+    EXPECT_EQ(t.send(0, 1, 64, 0).hops, 1);
+    // Cutting the link the stored 0 -> 1 route uses must reroute it.
+    const sim::FaultPlan plan =
+        sim::FaultPlan::parse("link-down:router=0,dir=+x");
+    sim::FaultDomain dom(plan);
+    t.setFaults(&dom);
+    EXPECT_EQ(t.send(0, 1, 64, 0).hops, 3);
+    EXPECT_EQ(t.send(0, 1, 64, 0).hops, 3);
+    EXPECT_EQ(faultStat(t, "detours"), 2.0);
+    // Clearing the faults restores the shortest route.
+    t.setFaults(nullptr);
+    EXPECT_EQ(t.send(0, 1, 64, 0).hops, 1);
+    EXPECT_EQ(faultStat(t, "detours"), 2.0);
+}
+
+TEST(TorusRouteTable, UnroutablePairThrowsEverySendWithoutPoisoning)
+{
+    const sim::FaultPlan plan = sim::FaultPlan::parse(
+        "link-down:router=0,dir=+x;link-down:router=0,dir=-x");
+    sim::FaultDomain dom(plan);
+    Torus t(smallTorus());
+    Torus fresh(smallTorus()); // routes every packet from scratch
+    t.setFaults(&dom);
+    for (int round = 0; round < 3; ++round) {
+        const Tick at = static_cast<Tick>(round) * 1000000;
+        // The failed lookup leaves no entry: every send throws again.
+        fresh.setFaults(&dom);
+        EXPECT_THROW(fresh.send(0, 1, 64, at), sim::FaultError);
+        EXPECT_THROW(t.send(0, 1, 64, at), sim::FaultError);
+        // Pairs that do route are unaffected: the y ring out of
+        // router 0, x traffic into router 0, and an unrelated ring.
+        for (const auto &[s, d] : {std::pair{0, 4}, {1, 0}, {2, 3}}) {
+            fresh.setFaults(&dom);
+            const PacketResult want = fresh.send(s, d, 64, at);
+            const PacketResult got = t.send(s, d, 64, at);
+            EXPECT_EQ(got.arrived, want.arrived);
+            EXPECT_EQ(got.hops, want.hops);
+        }
+    }
+    EXPECT_EQ(statsDump(t), statsDump(fresh));
 }
 
 TEST(TorusFaults, UnrelatedPlanPerturbsNothing)

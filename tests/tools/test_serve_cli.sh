@@ -244,6 +244,55 @@ else
     echo "ok: mid-run {\"cmd\": \"metrics\"} dump parses"
 fi
 
+# Answers are flushed per batch: with --batch 1, a client that keeps
+# stdin open reads each answer before it closes stdin.  A serve that
+# held stdout until exit would leave the reader waiting for the
+# timeout.
+# expect_streamed <description> <request file> <head args> <pattern>
+#                 [serve options...]
+expect_streamed() {
+    desc="$1"
+    request="$2"
+    read_args="$3"
+    pattern="$4"
+    shift 4
+    rm -f "$tmp/in.fifo" "$tmp/out.fifo"
+    mkfifo "$tmp/in.fifo" "$tmp/out.fifo"
+    "$serve" --pack "$tmp/demo.pack" --batch 1 "$@" \
+        < "$tmp/in.fifo" > "$tmp/out.fifo" 2>/dev/null &
+    pid=$!
+    exec 3> "$tmp/in.fifo" 4< "$tmp/out.fifo"
+    cat "$request" >&3
+    # shellcheck disable=SC2086 # read_args is a word list on purpose
+    got=$(timeout 10 head $read_args <&4 | od -An -c | tr -d ' \n')
+    exec 3>&-
+    wait "$pid"
+    code=$?
+    exec 4<&-
+    if [ -z "$got" ]; then
+        echo "FAIL: $desc: no answer before stdin closed"
+        fails=1
+    elif ! echo "$got" | grep -q "$pattern"; then
+        echo "FAIL: $desc: unexpected answer '$got'"
+        fails=1
+    elif [ "$code" -ne 0 ]; then
+        echo "FAIL: $desc: serve exited $code"
+        fails=1
+    else
+        echo "ok: $desc"
+    fi
+}
+head -1 "$tmp/queries" > "$tmp/one.query"
+expect_streamed "serve flushes each JSON batch" "$tmp/one.query" \
+    "-n 1" 'fetch-sload'
+# One 32-byte GQRY record: machine 0, 2048 bytes, ws 1024, stride 1.
+printf 'GQRY\000\000\000\000\000\010\000\000\000\000\000\000' \
+    > "$tmp/one.bin"
+printf '\000\004\000\000\000\000\000\000\001\000\000\000\000\000\000\000' \
+    >> "$tmp/one.bin"
+expect_streamed "serve flushes each binary batch" "$tmp/one.bin" \
+    "-c 32" '^GANS' --binary
+
 # GASNUB_LOG_TIMESTAMPS prefixes service-log lines without touching
 # stdout answers.
 GASNUB_LOG_TIMESTAMPS=1 "$serve" --pack "$tmp/demo.pack" \

@@ -16,7 +16,8 @@
  * communication step.  Queries stream on stdin, answers on stdout in
  * input order, so any number of clients can multiplex through pipes
  * or a socket relay; batches of --batch queries are planned across
- * --threads workers against one shared immutable PlannerIndex.
+ * --threads workers against one shared immutable PlannerIndex, and
+ * stdout is flushed after every answered batch.
  *
  * JSON framing (default) — one object per line:
  *   in:  {"machine": "t3e", "bytes": 1048576, "ws": 1048576,
@@ -319,6 +320,10 @@ runJson(const serve::PlannerIndex &index, int threads,
             out << buf;
         }
         std::fputs(out.str().c_str(), stdout);
+        // Each answered batch reaches the client now, not when the
+        // stdio buffer fills: a pipe client times service, not
+        // buffering.
+        std::fflush(stdout);
         served += n;
         n = 0;
     };
@@ -436,6 +441,7 @@ runBinary(const serve::PlannerIndex &index, int threads,
         if (std::fwrite(responses.data(), sizeof(BinaryResponse),
                         got, stdout) != got)
             GASNUB_FATAL("serve: short write on stdout");
+        std::fflush(stdout);
         served += got;
     }
     std::fflush(stdout);
