@@ -2,12 +2,15 @@
  * @file
  * google-benchmark microbenchmarks of the simulator itself: host-side
  * throughput of the core components (cache probes, hierarchy
- * accesses, the backfill calendar, torus packets, event queue).  These guard
+ * accesses, the read-ahead filter, the 8400 coherence directory, the
+ * backfill calendar, torus packets, event queue).  These guard
  * against performance regressions in the simulation engine — the
  * figure benches sweep hundreds of grid points and depend on them.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "fft/fft1d.hh"
 #include "machine/configs.hh"
@@ -15,6 +18,7 @@
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
 #include "mem/resource.hh"
+#include "mem/stream.hh"
 #include "noc/torus.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
@@ -102,6 +106,56 @@ BM_ResourceBackfill(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 2);
 }
 BENCHMARK(BM_ResourceBackfill);
+
+void
+BM_StreamNote(benchmark::State &state)
+{
+    // The t3d's strided fill stream through its read-ahead unit: every
+    // fill skips range(0) lines, so none extends a stream or a filter
+    // candidate and each one replaces the filter's oldest entry.
+    const mem::HierarchyConfig cfg = machine::crayT3dNode("bm");
+    mem::ReadAhead ra(cfg.stream);
+    const std::uint32_t line = cfg.levels.back().cache.lineBytes;
+    const Addr stride = static_cast<Addr>(state.range(0)) * line;
+    Addr a = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(ra.note(a, line));
+        a += stride;
+        if (a >= 32_MiB)
+            a = 0;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StreamNote)->Arg(4);
+
+void
+BM_CoherenceDirectory(benchmark::State &state)
+{
+    // The 8400 copy kernels' line stream on the bus directory: a
+    // source and a destination region of 65 MiB, 1 << 33 bytes apart,
+    // touched one line at a time in alternation, through the
+    // functional priming walk (cache tags, then the directory update
+    // of every line that misses them; no timing).
+    machine::Machine m(machine::SystemKind::Dec8400, 2);
+    mem::MemoryHierarchy &node = m.node(0);
+    const Addr region = static_cast<Addr>(state.range(0)) * 1_MiB;
+    const Addr dst = Addr{1} << 33;
+    std::vector<Addr> batch(512);
+    Addr off = 0;
+    for (auto _ : state) {
+        for (std::size_t i = 0; i < batch.size(); i += 2) {
+            batch[i] = off;
+            batch[i + 1] = dst + off;
+            off += 64;
+            if (off == region)
+                off = 0;
+        }
+        node.primeBatch(batch.data(), batch.size());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * batch.size());
+}
+BENCHMARK(BM_CoherenceDirectory)->Arg(65);
 
 void
 BM_TorusPacket(benchmark::State &state)

@@ -1,6 +1,8 @@
 #include "bus/dec8400_memory.hh"
 
 #include <algorithm>
+#include <bit>
+#include <iterator>
 
 #include "sim/logging.hh"
 #include "sim/units.hh"
@@ -17,60 +19,67 @@ nsToTicks(double ns)
 
 } // namespace
 
-Dec8400Memory::LineState &
-Dec8400Memory::LineDir::operator[](Addr line)
+Dec8400Memory::LineDir::LineDir(std::uint32_t line_bytes)
+    : _lineShift(static_cast<unsigned>(
+          std::countr_zero(std::uint64_t{line_bytes}))),
+      _table(kInitialTableSlots),
+      _tableShift(64 - std::countr_zero(kInitialTableSlots))
 {
-    // Grow at 75% occupancy so probe chains stay short.
-    if ((_used + 1) * 4 > _slots.size() * 3)
-        grow();
-    std::size_t i = indexOf(line);
-    const std::size_t mask = _slots.size() - 1;
-    while (_slots[i].used && _slots[i].line != line)
+    GASNUB_ASSERT(std::has_single_bit(line_bytes),
+                  "bus line size must be a power of two");
+}
+
+Dec8400Memory::LineState *
+Dec8400Memory::LineDir::pageFor(Addr page)
+{
+    const std::size_t mask = _table.size() - 1;
+    std::size_t i = slotOf(page);
+    while (_table[i].page != kNoPage && _table[i].page != page)
         i = (i + 1) & mask;
-    Slot &s = _slots[i];
-    if (!s.used) {
-        s.used = true;
-        s.line = line;
-        s.state = LineState{};
-        ++_used;
+    Page *p = _table[i].data;
+    if (_table[i].page == kNoPage) {
+        _pages.push_back(std::make_unique<Page>());
+        p = _pages.back().get();
+        p->epoch = _epoch;
+        _table[i] = TableSlot{page, p};
+        // Grow at 50% occupancy so probe chains stay short.
+        if (_pages.size() * 2 > _table.size())
+            growTable();
+    } else if (p->epoch != _epoch) {
+        std::fill(std::begin(p->lines), std::end(p->lines),
+                  LineState{});
+        p->epoch = _epoch;
     }
-    return s.state;
+    Recent &r = _recent[_recentVictim];
+    _recentVictim ^= 1;
+    r.page = page;
+    r.lines = p->lines;
+    return p->lines;
+}
+
+void
+Dec8400Memory::LineDir::growTable()
+{
+    const std::vector<TableSlot> old = std::move(_table);
+    _table.assign(old.size() * 2, TableSlot{});
+    --_tableShift;
+    const std::size_t mask = _table.size() - 1;
+    for (const TableSlot &s : old) {
+        if (s.page == kNoPage)
+            continue;
+        std::size_t i = slotOf(s.page);
+        while (_table[i].page != kNoPage)
+            i = (i + 1) & mask;
+        _table[i] = s;
+    }
 }
 
 void
 Dec8400Memory::LineDir::clear()
 {
-    for (Slot &s : _slots)
-        s.used = false;
-    _used = 0;
-}
-
-void
-Dec8400Memory::LineDir::reset(std::size_t slots)
-{
-    _slots.assign(slots, Slot{});
-    _used = 0;
-    _shift = 64;
-    while ((std::size_t{1} << (64 - _shift)) < slots)
-        --_shift;
-}
-
-void
-Dec8400Memory::LineDir::grow()
-{
-    std::vector<Slot> old = std::move(_slots);
-    reset(old.size() * 2);
-    const std::size_t mask = _slots.size() - 1;
-    for (const Slot &s : old) {
-        if (!s.used)
-            continue;
-        std::size_t i = indexOf(s.line);
-        while (_slots[i].used)
-            i = (i + 1) & mask;
-        _slots[i] = s;
-    }
-    for (const Slot &s : old)
-        _used += s.used ? 1 : 0;
+    ++_epoch;
+    _recent[0] = Recent{};
+    _recent[1] = Recent{};
 }
 
 Dec8400Memory::Dec8400Memory(const BusConfig &bus_config,
@@ -82,6 +91,7 @@ Dec8400Memory::Dec8400Memory(const BusConfig &bus_config,
       _interventionTicks(nsToTicks(bus_config.interventionNs)),
       _sharedLineTicks(nsToTicks(bus_config.sharedLineNs)),
       _dram(dram_config),
+      _dir(bus_config.lineBytes),
       _stats(bus_config.name),
       _transactions(&_stats, bus_config.name + ".transactions",
                     "bus transactions"),

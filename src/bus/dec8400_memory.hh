@@ -17,6 +17,7 @@
 #define GASNUB_BUS_DEC8400_MEMORY_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -133,49 +134,87 @@ class Dec8400Memory
     };
 
     /**
-     * Flat open-addressing line directory: power-of-two table with
-     * linear probing and Fibonacci hashing.  Only find-or-insert and
-     * clear are needed, so the probe loop beats the former
-     * std::unordered_map's node allocations and pointer chases on the
-     * per-line bus fast path.  Fully deterministic: layout depends
-     * only on the insertion set, never on pointer values.
+     * Paged, direct-indexed line directory.  Lines live in dense
+     * pages of 2^12 LineStates (a line's page is its address shifted
+     * by log2(lineBytes) + 12); a small open-addressing table maps
+     * page numbers to pages, behind a two-entry cache of the last
+     * pages used — a copy alternates between a source and a
+     * destination region, so one entry would miss on every line.
+     * clear() is O(1): it bumps an epoch, and a page from an older
+     * epoch is reset to LineState{} the first time it is touched
+     * again.  An absent line reads as LineState{}, and nothing
+     * iterates or counts the entries, so the directory's layout can
+     * never show in the model's results.
      */
     class LineDir
     {
       public:
-        LineDir() { reset(kInitialSlots); }
+        /** @param line_bytes Coherence granularity (a power of two). */
+        explicit LineDir(std::uint32_t line_bytes);
 
-        /** Find the entry for @p line, default-inserting if absent. */
-        LineState &operator[](Addr line);
+        /** The entry for aligned address @p line. */
+        LineState &operator[](Addr line)
+        {
+            const Addr index = line >> _lineShift;
+            const Addr page = index >> kPageBits;
+            const std::size_t offset =
+                static_cast<std::size_t>(index & (kPageLines - 1));
+            if (_recent[0].page == page)
+                return _recent[0].lines[offset];
+            if (_recent[1].page == page)
+                return _recent[1].lines[offset];
+            return pageFor(page)[offset];
+        }
 
-        /** Forget all coherence state (capacity is retained). */
+        /** Forget all coherence state (pages are retained). */
         void clear();
 
       private:
-        struct Slot
+        static constexpr unsigned kPageBits = 12;
+        static constexpr std::size_t kPageLines = std::size_t{1}
+                                                  << kPageBits;
+        static constexpr std::size_t kInitialTableSlots = 64;
+        /** Page number no address maps to: marks empty slots. */
+        static constexpr Addr kNoPage = ~Addr{0};
+
+        struct Page
         {
-            Addr line = 0;
-            LineState state;
-            bool used = false;
+            std::uint64_t epoch = 0;
+            LineState lines[kPageLines];
         };
 
-        static constexpr std::size_t kInitialSlots = 1024;
-
-        std::size_t indexOf(Addr line) const
+        struct TableSlot
         {
-            // Line addresses are aligned, so their low bits carry no
-            // entropy; Fibonacci hashing pushes the mix into the high
-            // bits and the shift selects them.
+            Addr page = kNoPage;
+            Page *data = nullptr;
+        };
+
+        struct Recent
+        {
+            Addr page = kNoPage;
+            LineState *lines = nullptr;
+        };
+
+        /** Slow path: find or create @p page, refresh it, cache it. */
+        LineState *pageFor(Addr page);
+
+        std::size_t slotOf(Addr page) const
+        {
+            // Fibonacci hashing: page numbers of one region are
+            // consecutive, regions sit 2^33 bytes apart.
             return static_cast<std::size_t>(
-                (line * 0x9e3779b97f4a7c15ULL) >> _shift);
+                (page * 0x9e3779b97f4a7c15ULL) >> _tableShift);
         }
 
-        void reset(std::size_t slots);
-        void grow();
+        void growTable();
 
-        std::vector<Slot> _slots;
-        std::size_t _used = 0;
-        unsigned _shift = 64; ///< 64 - log2(_slots.size())
+        unsigned _lineShift;
+        std::vector<std::unique_ptr<Page>> _pages;
+        std::vector<TableSlot> _table;
+        unsigned _tableShift; ///< 64 - log2(_table.size())
+        std::uint64_t _epoch = 0;
+        Recent _recent[2];
+        unsigned _recentVictim = 0; ///< next _recent entry to replace
     };
 
     Addr lineOf(Addr addr) const

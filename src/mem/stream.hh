@@ -16,6 +16,7 @@
 #ifndef GASNUB_MEM_STREAM_HH
 #define GASNUB_MEM_STREAM_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -36,7 +37,7 @@ struct StreamConfig
      * Entries in the allocation filter: a stream buffer is only
      * allocated after a fill sequentially follows a filter entry, so
      * isolated misses (write allocations, pointer chases) cannot
-     * steal live stream slots.
+     * steal live stream slots.  At most 64; 0 acts as 1.
      */
     std::uint32_t filterEntries = 16;
 };
@@ -49,7 +50,20 @@ struct StreamHit
 };
 
 /**
- * Sequential-stream detector with a small fully-associative table.
+ * Sequential-stream detector with a small fully-associative table of
+ * stream slots behind an allocation filter.
+ *
+ * The filter is a struct of arrays: entry i expects line
+ * `_candNext[i]` while bit i of `_candValid` is set, and `_candOrder`
+ * is a ring of the valid entries' indices in insertion order.  A fill
+ * matches the lowest valid entry expecting it (one compare per entry
+ * into a bitmask, then the lowest set bit — the first match in index
+ * order, which matters because two entries can expect the same
+ * line).  A new candidate replaces the lowest invalid entry, else the
+ * ring's front: an entry's age is fixed when it is inserted, so
+ * insertion order is LRU order.  `ReadAheadOracle`
+ * (tests/mem/test_stream_wbq.cc) checks every fill against a table
+ * that scans its entries in index order.
  */
 class ReadAhead
 {
@@ -103,18 +117,24 @@ class ReadAhead
         bool valid = false;
     };
 
-    /** Allocation-filter entry: a potential stream. */
-    struct Candidate
-    {
-        Addr nextLine = 0;
-        std::uint64_t lru = 0;
-        bool valid = false;
-    };
+    /** Remove filter entry @p entry from the insertion-order ring. */
+    void dropFromOrder(std::uint32_t entry);
 
     StreamConfig _config;
     std::vector<Slot> _slots;
-    std::vector<Candidate> _filter;
-    std::uint64_t _lruClock = 0;
+
+    // Allocation filter (potential streams); see the class comment.
+    // Entries past _candEntries are never valid.
+    static constexpr std::uint32_t kMaxFilterEntries = 64;
+    std::uint32_t _candEntries = 0;
+    std::array<Addr, kMaxFilterEntries> _candNext{};
+    /** Ring of the valid entries, oldest at _orderHead. */
+    std::array<std::uint8_t, kMaxFilterEntries> _candOrder{};
+    std::uint64_t _candValid = 0; ///< bit i: entry i is valid
+    std::uint64_t _candAll = 0;   ///< one bit per entry
+    std::uint32_t _orderHead = 0;
+    std::uint32_t _orderSize = 0;
+    std::uint64_t _lruClock = 0; ///< stamps the stream slots' LRU age
 
     stats::Group _stats;
     stats::Scalar _fills;

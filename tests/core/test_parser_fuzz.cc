@@ -19,6 +19,7 @@
 #include <sys/wait.h>
 
 #include <cstdlib>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -198,7 +199,72 @@ TEST(JsonFuzz, NestingWithinTheBoundParses)
     EXPECT_EQ(parseJson(deep).kind, JsonValue::Kind::Array);
 }
 
+TEST(JsonFuzz, EveryJsonEscapeDecodes)
+{
+    const JsonValue v =
+        parseJson("[\"\\\"\\\\\\/\\b\\f\\n\\r\\t\\u0041\", true, false, "
+                  "null, -1.5e3, 0]");
+    ASSERT_EQ(v.array.size(), 6u);
+    EXPECT_EQ(v.array[0].string, "\"\\/\b\f\n\r\tA");
+    EXPECT_TRUE(v.array[1].boolean);
+    EXPECT_FALSE(v.array[2].boolean);
+    EXPECT_EQ(v.array[3].kind, JsonValue::Kind::Null);
+    EXPECT_DOUBLE_EQ(v.array[4].number, -1500.0);
+    EXPECT_DOUBLE_EQ(v.array[5].number, 0.0);
+}
+
 using JsonDeath = ::testing::Test;
+
+/** Each of @p inputs must make the reader exit 2 naming @p what. */
+void
+expectRejected(std::initializer_list<std::string> inputs,
+               const char *what)
+{
+    for (const std::string &bad : inputs) {
+        EXPECT_EXIT(
+            {
+                parseJson(bad);
+                std::exit(0);
+            },
+            ::testing::ExitedWithCode(2), what)
+            << "input " << bad;
+    }
+}
+
+TEST(JsonDeath, MisspelledLiteralsAreFatal)
+{
+    // Each used to be read as null/true/false by byte count alone.
+    expectRejected({"[nope]", "{\"k\": nil }", "[trux]", "[fals3]",
+                    "[nul"},
+                   "bad literal");
+}
+
+TEST(JsonDeath, RawControlBytesInStringsAreFatal)
+{
+    expectRejected({std::string("[\"a\x01b\"]"),
+                    std::string("{\"k\x1f\": 1}"),
+                    std::string("[\"tab\there\"]"),
+                    std::string("[\"line\nbreak\"]"),
+                    std::string("[\"nul\0byte\"]", 12)},
+                   "raw control byte");
+}
+
+TEST(JsonDeath, UnknownEscapesAreFatal)
+{
+    // Each used to be copied through as the escaped byte.
+    expectRejected({"[\"\\q\"]", "[\"\\x41\"]", "[\"\\'\"]", "[\"\\0\"]",
+                    "{\"\\a\": 1}"},
+                   "bad escape");
+}
+
+TEST(JsonDeath, PartialNumbersAreFatal)
+{
+    // strtod takes a prefix of each (or nothing); the rest used to be
+    // dropped silently.
+    expectRejected({"[-]", "[1e]", "[--1]", "[1.2.3]", "{\"x\": 1e+}",
+                    "[+-2]", "[1-2]"},
+                   "bad number");
+}
 
 TEST(JsonDeath, TruncationIsFatal)
 {

@@ -5,8 +5,11 @@
  * Covers exactly what this repo's writers emit — stats
  * Group::dumpJson trees, BENCH_<pr>.json protocol files, profiler
  * exports: objects, arrays, strings, numbers, bools and null, with
- * the stats writer's control-byte escapes.  Parse errors are fatal
- * (exit 2) with the caller-supplied context in the message.
+ * the stats writer's control-byte escapes.  Strict where input could
+ * be silently misread: literals must be spelled out, strings may hold
+ * no raw control byte and only JSON's escapes, and strtod must take a
+ * number token whole.  Parse errors are fatal (exit 2) with the
+ * caller-supplied context in the message.
  */
 
 #ifndef GASNUB_TOOLS_JSON_UTIL_HH
@@ -16,6 +19,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -119,16 +123,24 @@ class JsonParser
             JsonValue v;
             v.kind = JsonValue::Kind::Bool;
             v.boolean = _s[_i] == 't';
-            _i += v.boolean ? 4 : 5;
+            literal(v.boolean ? "true" : "false");
             return v;
           }
           case 'n': {
-            _i += 4;
+            literal("null");
             return JsonValue{};
           }
           default:
             return number();
         }
+    }
+
+    /** Consume @p word exactly (a literal's first byte is known). */
+    void literal(std::string_view word)
+    {
+        if (_s.compare(_i, word.size(), word) != 0)
+            fail("bad literal");
+        _i += word.size();
     }
 
     std::string string()
@@ -137,11 +149,16 @@ class JsonParser
         std::string out;
         while (_i < _s.size() && _s[_i] != '"') {
             char c = _s[_i++];
+            if (static_cast<unsigned char>(c) < 0x20)
+                fail("raw control byte in string");
             if (c == '\\') {
                 if (_i >= _s.size())
                     fail("truncated escape");
                 const char e = _s[_i++];
                 switch (e) {
+                  case '"':
+                  case '\\':
+                  case '/': c = e; break;
                   case 'n': c = '\n'; break;
                   case 't': c = '\t'; break;
                   case 'r': c = '\r'; break;
@@ -171,7 +188,7 @@ class JsonParser
                     _i += 4;
                     break;
                   }
-                  default: c = e; break;
+                  default: fail("bad escape");
                 }
             }
             out.push_back(c);
@@ -190,10 +207,13 @@ class JsonParser
             ++_i;
         if (_i == start)
             fail("expected a value");
+        const std::string token = _s.substr(start, _i - start);
+        char *end = nullptr;
         JsonValue v;
         v.kind = JsonValue::Kind::Number;
-        v.number = std::strtod(_s.substr(start, _i - start).c_str(),
-                               nullptr);
+        v.number = std::strtod(token.c_str(), &end);
+        if (end != token.c_str() + token.size())
+            fail("bad number '" + token + "'");
         return v;
     }
 
